@@ -4,6 +4,12 @@ set -eux
 
 cargo build --release
 cargo test -q --workspace
+
+# The benchmark package (perfbench/, its own workspace) is built against
+# the library crates' public API; its tests hold its instrumented copies
+# equal to runner::execute. Run them here so an API change cannot break
+# the benchmark build unseen.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -23,13 +23,6 @@ pub enum ModelError {
         /// The rejected coefficient.
         q: f64,
     },
-    /// A footprint was negative, not finite, or exceeded the cache size.
-    InvalidFootprint {
-        /// The rejected footprint in lines.
-        footprint: f64,
-        /// The cache size in lines.
-        lines: usize,
-    },
     /// A fill fraction passed to
     /// [`FootprintModel::misses_to_fill`](crate::FootprintModel::misses_to_fill)
     /// was NaN. `ceil() as u64` on a NaN quietly produces 0, so the old
@@ -38,12 +31,6 @@ pub enum ModelError {
     NonFiniteFillFraction {
         /// The rejected fraction.
         frac: f64,
-    },
-    /// A per-set estimator geometry was invalid: zero lines, ways, or
-    /// processors, or more ways than lines.
-    BadEstimatorGeometry {
-        /// Human-readable description of the rejected geometry.
-        reason: String,
     },
     /// A self-edge `at_share(t, t, q)` was requested; a thread trivially
     /// shares all of its state with itself and such edges are rejected to
@@ -66,14 +53,8 @@ impl fmt::Display for ModelError {
             ModelError::NonFiniteSharingCoefficient { q } => {
                 write!(f, "sharing coefficient {q} is not a finite number")
             }
-            ModelError::InvalidFootprint { footprint, lines } => {
-                write!(f, "footprint {footprint} is invalid for a cache of {lines} lines")
-            }
             ModelError::NonFiniteFillFraction { frac } => {
                 write!(f, "fill fraction {frac} is not a number")
-            }
-            ModelError::BadEstimatorGeometry { reason } => {
-                write!(f, "bad estimator geometry: {reason}")
             }
             ModelError::SelfSharing { thread } => {
                 write!(f, "thread t{thread} cannot share state with itself")
@@ -96,8 +77,6 @@ mod tests {
         assert!(e.to_string().contains("1.5"));
         let e = ModelError::NonFiniteSharingCoefficient { q: f64::NAN };
         assert!(e.to_string().contains("not a finite"));
-        let e = ModelError::InvalidFootprint { footprint: -3.0, lines: 8192 };
-        assert!(e.to_string().contains("-3"));
         let e = ModelError::NonFiniteFillFraction { frac: f64::NAN };
         assert!(e.to_string().contains("not a number"));
         let e = ModelError::SelfSharing { thread: 4 };

@@ -14,49 +14,6 @@ use crate::tables::PrecomputedTables;
 use crate::{CpuId, ModelParams, ThreadId};
 use std::collections::HashMap;
 
-/// The seam between the schedulers and a footprint model.
-///
-/// LFF/CRT only ever need four operations from whatever model predicts
-/// per-thread cache footprints: note a dispatch, consume an interval's
-/// miss count, read back an estimate/priority, and forget exited
-/// threads. [`LocalityEstimator`] (the paper's direct-mapped Markov
-/// closed forms with `O(out-degree)` log-space updates) is the default
-/// implementation; [`PerSetEstimator`](crate::perset::PerSetEstimator)
-/// generalizes the birth–death chain to set-associative LRU geometries,
-/// and a reuse-distance competitor would plug in the same way.
-pub trait FootprintEstimator {
-    /// Records that `tid` was dispatched on `cpu` (its interval begins).
-    fn on_switch(&mut self, cpu: CpuId, tid: ThreadId);
-
-    /// Records the end of `tid`'s interval on `cpu` with `n` misses and
-    /// returns the priority updates to apply to run queues — the blocking
-    /// thread first, its `graph` dependents after.
-    fn on_miss(
-        &mut self,
-        cpu: CpuId,
-        tid: ThreadId,
-        n: u64,
-        graph: &SharingGraph,
-    ) -> Vec<PriorityUpdate>;
-
-    /// Current expected footprint of `tid` in `cpu`'s cache, in lines
-    /// (0 if the thread has no state there).
-    fn estimate(&self, cpu: CpuId, tid: ThreadId) -> f64;
-
-    /// Current scheduling priority of `tid` on `cpu`. Must order threads
-    /// identically to [`estimate`](Self::estimate) on any one processor.
-    fn priority(&self, cpu: CpuId, tid: ThreadId) -> f64;
-
-    /// Forgets `tid` on every processor (thread exit).
-    fn retire(&mut self, tid: ThreadId);
-
-    /// `(flops, table lookups)` spent on priority maintenance so far, if
-    /// the implementation counts them (Table 3); `(0, 0)` otherwise.
-    fn flop_counts(&self) -> (u64, u64) {
-        (0, 0)
-    }
-}
-
 /// Configuration of a [`LocalityEstimator`].
 #[derive(Debug, Clone, Copy)]
 pub struct EstimatorConfig {
@@ -353,14 +310,6 @@ impl LocalityEstimator {
         }
     }
 
-    /// Drops `tid`'s entry on `cpu` (e.g. after threshold eviction from
-    /// that processor's heap).
-    pub fn remove_on_cpu(&mut self, cpu: CpuId, tid: ThreadId) {
-        self.cpus[cpu.0].entries.remove(&tid);
-        #[cfg(feature = "invariant-checks")]
-        self.cpus[cpu.0].shadow.remove(&tid);
-    }
-
     /// Drops `tid` everywhere (thread exit).
     pub fn remove_thread(&mut self, tid: ThreadId) {
         for cpu in &mut self.cpus {
@@ -375,50 +324,9 @@ impl LocalityEstimator {
         self.cpus[cpu.0].entries.len()
     }
 
-    /// The processor (if any) where `tid`'s expected footprint is largest,
-    /// with that footprint. Useful for wake-up placement hints.
-    pub fn best_cpu(&self, tid: ThreadId) -> Option<(CpuId, f64)> {
-        let mut best: Option<(CpuId, f64)> = None;
-        for (i, state) in self.cpus.iter().enumerate() {
-            if let Some(e) = state.entries.get(&tid) {
-                let f = self.schemes.expected_footprint(e, state.m);
-                if best.is_none_or(|(_, bf)| f > bf) {
-                    best = Some((CpuId(i), f));
-                }
-            }
-        }
-        best
-    }
-}
-
-impl FootprintEstimator for LocalityEstimator {
-    fn on_switch(&mut self, cpu: CpuId, tid: ThreadId) {
-        self.on_dispatch(cpu, tid);
-    }
-
-    fn on_miss(
-        &mut self,
-        cpu: CpuId,
-        tid: ThreadId,
-        n: u64,
-        graph: &SharingGraph,
-    ) -> Vec<PriorityUpdate> {
-        self.on_interval_end(cpu, tid, n, graph)
-    }
-
-    fn estimate(&self, cpu: CpuId, tid: ThreadId) -> f64 {
-        self.expected_footprint(cpu, tid)
-    }
-
-    fn priority(&self, cpu: CpuId, tid: ThreadId) -> f64 {
-        LocalityEstimator::priority(self, cpu, tid)
-    }
-
-    fn retire(&mut self, tid: ThreadId) {
-        self.remove_thread(tid);
-    }
-
-    fn flop_counts(&self) -> (u64, u64) {
+    /// `(flops, table lookups)` spent on priority maintenance so far
+    /// (Table 3).
+    pub fn flop_counts(&self) -> (u64, u64) {
         let c = self.schemes.flop_counter();
         (c.flops(), c.lookups())
     }
@@ -508,20 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn best_cpu_finds_largest_footprint() {
-        let mut est = estimator(PolicyKind::Lff, 3);
-        let g = SharingGraph::new();
-        est.on_dispatch(CpuId(0), t(1));
-        est.on_interval_end(CpuId(0), t(1), 100, &g);
-        est.on_dispatch(CpuId(2), t(1));
-        est.on_interval_end(CpuId(2), t(1), 700, &g);
-        let (cpu, f) = est.best_cpu(t(1)).unwrap();
-        assert_eq!(cpu, CpuId(2));
-        assert!(f > est.expected_footprint(CpuId(0), t(1)));
-        assert!(est.best_cpu(t(9)).is_none());
-    }
-
-    #[test]
     fn remove_thread_clears_everywhere() {
         let mut est = estimator(PolicyKind::Crt, 2);
         let g = SharingGraph::new();
@@ -533,19 +427,6 @@ mod tests {
         assert_eq!(est.expected_footprint(CpuId(0), t(1)), 0.0);
         assert_eq!(est.expected_footprint(CpuId(1), t(1)), 0.0);
         assert_eq!(est.tracked_on(CpuId(0)), 0);
-    }
-
-    #[test]
-    fn remove_on_cpu_is_local() {
-        let mut est = estimator(PolicyKind::Lff, 2);
-        let g = SharingGraph::new();
-        for cpu in 0..2 {
-            est.on_dispatch(CpuId(cpu), t(1));
-            est.on_interval_end(CpuId(cpu), t(1), 100, &g);
-        }
-        est.remove_on_cpu(CpuId(0), t(1));
-        assert_eq!(est.expected_footprint(CpuId(0), t(1)), 0.0);
-        assert!(est.expected_footprint(CpuId(1), t(1)) > 0.0);
     }
 
     #[test]
@@ -591,24 +472,6 @@ mod tests {
             }
             assert!(est.invariant_checks() >= 300, "checker must run at every interval end");
         }
-    }
-
-    #[test]
-    fn trait_surface_delegates_to_inherent_methods() {
-        let mut est = estimator(PolicyKind::Lff, 1);
-        let g = SharingGraph::new();
-        FootprintEstimator::on_switch(&mut est, CpuId(0), t(1));
-        let ups = FootprintEstimator::on_miss(&mut est, CpuId(0), t(1), 500, &g);
-        assert_eq!(ups.len(), 1);
-        assert_eq!(est.estimate(CpuId(0), t(1)), est.expected_footprint(CpuId(0), t(1)));
-        assert_eq!(
-            FootprintEstimator::priority(&est, CpuId(0), t(1)),
-            LocalityEstimator::priority(&est, CpuId(0), t(1))
-        );
-        let (flops, lookups) = est.flop_counts();
-        assert!(flops > 0 && lookups > 0, "the Markov impl counts its work");
-        FootprintEstimator::retire(&mut est, t(1));
-        assert_eq!(est.estimate(CpuId(0), t(1)), 0.0);
     }
 
     #[test]

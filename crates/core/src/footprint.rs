@@ -7,7 +7,6 @@
 //! over the `N` cache lines (paper §2.1), so a single miss leaves any given
 //! line untouched with probability `k = (N−1)/N`.
 
-use crate::params::check_coefficient;
 use crate::{ModelError, ModelParams};
 
 /// The analytical shared-state cache model.
@@ -82,18 +81,6 @@ impl FootprintModel {
         }
         let target = q * self.params.n();
         target - (target - s) * self.params.k_pow(n)
-    }
-
-    /// Validated variant of [`expected_dependent`](Self::expected_dependent).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `q` is outside `[0, 1]` or `s` is outside
-    /// `[0, N]`.
-    pub fn try_expected_dependent(&self, q: f64, s: f64, n: u64) -> Result<f64, ModelError> {
-        check_coefficient(q)?;
-        self.params.check_footprint(s)?;
-        Ok(self.expected_dependent(q, s, n))
     }
 
     /// The **cache-reload ratio** `R = (E[F₀] − E[F]) / E[F₀]` used by the
@@ -240,15 +227,6 @@ mod tests {
             below = nb;
             above = na;
         }
-    }
-
-    #[test]
-    fn try_expected_dependent_validates() {
-        let m = model(100);
-        assert!(m.try_expected_dependent(0.5, 50.0, 10).is_ok());
-        assert!(m.try_expected_dependent(1.5, 50.0, 10).is_err());
-        assert!(m.try_expected_dependent(0.5, 101.0, 10).is_err());
-        assert!(m.try_expected_dependent(-0.1, 50.0, 10).is_err());
     }
 
     #[test]

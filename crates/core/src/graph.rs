@@ -147,9 +147,10 @@ impl SharingGraph {
     /// edges starting at `src` — with their coefficients, in thread-id
     /// order.
     ///
-    /// When the graph [`is_compact`](Self::is_compact) this walks one
-    /// contiguous CSR row (the hot `O(out-degree)` path); otherwise it
-    /// falls back to the ordered map, yielding the identical sequence.
+    /// When the CSR read cache is in sync (no mutation since the last
+    /// [`compact`](Self::compact)) this walks one contiguous CSR row (the
+    /// hot `O(out-degree)` path); otherwise it falls back to the ordered
+    /// map, yielding the identical sequence.
     pub fn dependents_of(&self, src: ThreadId) -> impl Iterator<Item = (ThreadId, f64)> + '_ {
         let (row, sparse): (&[(ThreadId, f64)], _) =
             if self.dirty { (&[], self.out.get(&src)) } else { (self.csr.row(src), None) };
@@ -177,11 +178,6 @@ impl SharingGraph {
             self.csr.offsets.push(end);
         }
         self.dirty = false;
-    }
-
-    /// Whether the CSR read cache is in sync with the maps.
-    pub fn is_compact(&self) -> bool {
-        !self.dirty
     }
 
     /// Threads `src` depends on — the sources of edges ending at `src`.
@@ -362,10 +358,10 @@ mod tests {
         g.set(t(5), t(9), 0.1).unwrap();
         g.set(t(5), t(2), 0.2).unwrap();
         g.set(t(6), t(2), 0.4).unwrap();
-        assert!(!g.is_compact(), "mutations invalidate the CSR cache");
+        assert!(g.dirty, "mutations invalidate the CSR cache");
         let sparse: Vec<_> = g.dependents_of(t(5)).collect();
         g.compact();
-        assert!(g.is_compact());
+        assert!(!g.dirty);
         let compact: Vec<_> = g.dependents_of(t(5)).collect();
         assert_eq!(sparse, compact);
         assert_eq!(compact, vec![(t(2), 0.2), (t(9), 0.1)]);
@@ -376,24 +372,24 @@ mod tests {
     fn compaction_tracks_every_mutation() {
         let mut g = SharingGraph::new();
         g.compact();
-        assert!(g.is_compact(), "empty graph compacts trivially");
+        assert!(!g.dirty, "empty graph compacts trivially");
         g.set(t(1), t(2), 0.5).unwrap();
-        assert!(!g.is_compact());
+        assert!(g.dirty);
         g.compact();
         // Re-setting the same weight changes nothing: still compact.
         g.set(t(1), t(2), 0.5).unwrap();
-        assert!(g.is_compact());
+        assert!(!g.dirty);
         g.set(t(1), t(2), 0.9).unwrap();
-        assert!(!g.is_compact());
+        assert!(g.dirty);
         g.compact();
         g.remove_edge(t(1), t(2));
-        assert!(!g.is_compact());
+        assert!(g.dirty);
         g.compact();
         assert_eq!(g.dependents_of(t(1)).count(), 0);
         g.set(t(1), t(2), 0.5).unwrap();
         g.compact();
         g.remove_thread(t(2));
-        assert!(!g.is_compact());
+        assert!(g.dirty);
         g.compact();
         assert_eq!(g.dependents_of(t(1)).count(), 0);
     }

@@ -80,11 +80,11 @@ pub mod slots;
 pub mod tables;
 
 pub use error::ModelError;
-pub use estimator::{EstimatorConfig, FootprintEstimator, LocalityEstimator};
+pub use estimator::{EstimatorConfig, LocalityEstimator};
 pub use footprint::FootprintModel;
 pub use graph::SharingGraph;
 pub use params::ModelParams;
-pub use perset::{PerSetCase, PerSetEstimator};
+pub use perset::PerSetCase;
 pub use priority::{FootprintEntry, PolicyKind, PrioritySchemes, PriorityUpdate};
 pub use sanitizer::{CounterSanitizer, SanitizedInterval, SanitizerConfig};
 pub use slots::{SlotId, ThreadSlots};

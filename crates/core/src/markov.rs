@@ -128,6 +128,7 @@ impl DependentChain {
     /// `E_{m+1} = E_m·k + q`, which follows from linearity of the chain's
     /// drift. `O(n)` and numerically independent of the closed form —
     /// a second oracle.
+    #[cfg(test)]
     pub fn expected_after_recurrence(&self, s0: f64, n: u64) -> f64 {
         let k = self.params.k();
         let mut e = s0;
@@ -242,6 +243,7 @@ impl ChainTransientTable {
     }
 
     /// Number of grid points.
+    #[cfg(test)]
     pub fn grid_len(&self) -> usize {
         self.grid.len()
     }

@@ -65,19 +65,6 @@ impl ModelParams {
     pub fn k_pow(&self, n: u64) -> f64 {
         (self.log_k * n as f64).exp()
     }
-
-    /// Validates a footprint value against the cache size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidFootprint`] unless
-    /// `0 ≤ footprint ≤ N` and the value is finite.
-    pub fn check_footprint(&self, footprint: f64) -> Result<(), ModelError> {
-        if !footprint.is_finite() || footprint < 0.0 || footprint > self.n() {
-            return Err(ModelError::InvalidFootprint { footprint, lines: self.lines });
-        }
-        Ok(())
-    }
 }
 
 /// Validates a sharing coefficient.
@@ -141,18 +128,6 @@ mod tests {
             naive *= p.k();
             assert!((p.k_pow(n) - naive).abs() < 1e-12, "mismatch at n={n}");
         }
-    }
-
-    #[test]
-    fn footprint_validation() {
-        let p = ModelParams::new(100).unwrap();
-        assert!(p.check_footprint(0.0).is_ok());
-        assert!(p.check_footprint(100.0).is_ok());
-        assert!(p.check_footprint(50.5).is_ok());
-        assert!(p.check_footprint(-0.1).is_err());
-        assert!(p.check_footprint(100.1).is_err());
-        assert!(p.check_footprint(f64::NAN).is_err());
-        assert!(p.check_footprint(f64::INFINITY).is_err());
     }
 
     #[test]

@@ -34,18 +34,13 @@
 //!
 //! At `W = 1` every eviction term collapses to `f/N` independently of
 //! `T`, so all three reduce exactly to the paper's direct-mapped
-//! recurrences (`f' = f + 1 − f/N`, `f' = f·k`, `f' = qN − (qN − f)·k`)
-//! and the estimator degenerates to the closed forms on the default
-//! geometry. Unlike [`LocalityEstimator`](crate::LocalityEstimator) the
-//! drifts have no log-space invariance to exploit, so updates are eager
-//! `O(tracked threads)` per interval — the price of generality, and
-//! exactly the cost Table 3 motivates avoiding for the common case.
-
-use crate::estimator::FootprintEstimator;
-use crate::graph::SharingGraph;
-use crate::priority::PriorityUpdate;
-use crate::{CpuId, ModelError, ThreadId};
-use std::collections::BTreeMap;
+//! recurrences (`f' = f + 1 − f/N`, `f' = f·k`, `f' = qN − (qN − f)·k`),
+//! so the drifts agree with the closed forms on the default geometry.
+//! Unlike the closed forms they have no log-space invariance to exploit,
+//! which is why they serve as the `repro geometry` experiment's
+//! predictor rather than as a scheduler's online estimator: every
+//! interval would cost `O(tracked threads)` — exactly the cost Table 3
+//! motivates avoiding.
 
 /// Per-miss integration is chunked so one huge interval cannot stall a
 /// scheduling decision: beyond this many steps the drift is applied in
@@ -110,8 +105,7 @@ fn step_scaled(
 /// case, starting from `s0` tracked lines in a cache holding `total0`
 /// lines overall, with capacity `n_lines` and `ways` ways per set.
 ///
-/// This is the pure-function form used by the `repro geometry` validation
-/// experiment; [`PerSetEstimator`] applies the same integration online.
+/// This is the predictor of the `repro geometry` validation experiment.
 pub fn predict_after(
     case: PerSetCase,
     s0: f64,
@@ -134,130 +128,6 @@ pub fn predict_after(
         (f, total) = step_scaled(case, f, total, n_lines, ways, h);
     }
     (f, total)
-}
-
-#[derive(Debug, Default, Clone)]
-struct PerSetCpu {
-    /// Expected footprint per tracked thread, in lines, kept eagerly
-    /// up to date (no lazy decay — the drifts don't factor).
-    footprints: BTreeMap<ThreadId, f64>,
-    /// Expected total cache occupancy in lines (all threads, including
-    /// ones never tracked here — advanced by the total-occupancy drift).
-    total: f64,
-    /// Total misses observed on this processor (diagnostics only).
-    m: u64,
-}
-
-/// A [`FootprintEstimator`] built on the per-set drifts above.
-///
-/// Priorities are the raw expected footprints (monotone in the estimate,
-/// which is all the LFF ordering requires). Every interval touches every
-/// tracked thread, so there is no flop counter to report — `flop_counts`
-/// stays at the trait default.
-#[derive(Debug, Clone)]
-pub struct PerSetEstimator {
-    n_lines: f64,
-    ways: f64,
-    cpus: Vec<PerSetCpu>,
-}
-
-impl PerSetEstimator {
-    /// Creates an estimator for a cache of `lines` total lines with
-    /// `ways` ways per set, tracked independently on `cpus` processors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::BadEstimatorGeometry`] if `lines` or `ways`
-    /// is zero, `ways` exceeds `lines`, or `cpus` is zero.
-    pub fn new(lines: usize, ways: u64, cpus: usize) -> Result<Self, ModelError> {
-        if lines == 0 || ways == 0 || ways as usize > lines || cpus == 0 {
-            return Err(ModelError::BadEstimatorGeometry {
-                reason: format!("lines={lines} ways={ways} cpus={cpus}"),
-            });
-        }
-        Ok(PerSetEstimator {
-            n_lines: lines as f64,
-            ways: ways as f64,
-            cpus: vec![PerSetCpu::default(); cpus],
-        })
-    }
-
-    /// Total misses recorded on `cpu` so far.
-    pub fn misses(&self, cpu: CpuId) -> u64 {
-        self.cpus[cpu.0].m
-    }
-
-    /// Number of threads tracked on `cpu`.
-    pub fn tracked_on(&self, cpu: CpuId) -> usize {
-        self.cpus[cpu.0].footprints.len()
-    }
-
-    /// Expected total occupancy of `cpu`'s cache, in lines.
-    pub fn total_occupancy(&self, cpu: CpuId) -> f64 {
-        self.cpus[cpu.0].total
-    }
-}
-
-impl FootprintEstimator for PerSetEstimator {
-    fn on_switch(&mut self, cpu: CpuId, tid: ThreadId) {
-        self.cpus[cpu.0].footprints.entry(tid).or_insert(0.0);
-    }
-
-    fn on_miss(
-        &mut self,
-        cpu: CpuId,
-        tid: ThreadId,
-        n: u64,
-        graph: &SharingGraph,
-    ) -> Vec<PriorityUpdate> {
-        let state = &mut self.cpus[cpu.0];
-        state.m += n;
-        state.footprints.entry(tid).or_insert(0.0);
-        // Eagerly advance every tracked thread by this interval's misses.
-        // Each integrates against the same total-occupancy trajectory
-        // (which depends only on its own starting value), so the threads
-        // stay mutually consistent.
-        let (n_lines, ways, total0) = (self.n_lines, self.ways, state.total);
-        let mut total_next = total0;
-        for (&x, f) in state.footprints.iter_mut() {
-            let case = if x == tid {
-                PerSetCase::Blocking
-            } else {
-                let q = graph.weight(tid, x);
-                if q > 0.0 {
-                    PerSetCase::Dependent(q)
-                } else {
-                    PerSetCase::Independent
-                }
-            };
-            (*f, total_next) = predict_after(case, *f, total0, n, n_lines, ways);
-        }
-        state.total = total_next;
-        // Same update contract as the Markov estimator: blocker first,
-        // then dependents in graph order.
-        let mut updates = Vec::with_capacity(1 + graph.out_degree(tid));
-        updates.push(PriorityUpdate { thread: tid, prio: state.footprints[&tid] });
-        for (dep, _) in graph.dependents_of(tid) {
-            if let Some(&f) = state.footprints.get(&dep) {
-                updates.push(PriorityUpdate { thread: dep, prio: f });
-            }
-        }
-        updates
-    }
-
-    fn estimate(&self, cpu: CpuId, tid: ThreadId) -> f64 {
-        self.cpus[cpu.0].footprints.get(&tid).copied().unwrap_or(0.0)
-    }
-
-    fn priority(&self, cpu: CpuId, tid: ThreadId) -> f64 {
-        self.estimate(cpu, tid)
-    }
-
-    fn retire(&mut self, tid: ThreadId) {
-        for cpu in &mut self.cpus {
-            cpu.footprints.remove(&tid);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -378,55 +248,5 @@ mod tests {
         }
         let coarse = fp(PerSetCase::Blocking, 0.0, 0.0, n, 8.0);
         assert!((exact - coarse).abs() < 0.01 * N, "exact {exact} vs chunked {coarse}");
-    }
-
-    #[test]
-    fn estimator_tracks_blocker_and_sleeper() {
-        let mut est = PerSetEstimator::new(8192, 8, 2).unwrap();
-        let g = SharingGraph::new();
-        let (a, b) = (ThreadId(1), ThreadId(2));
-        est.on_switch(CpuId(0), a);
-        est.on_switch(CpuId(0), b);
-        let ups = est.on_miss(CpuId(0), a, 2000, &g);
-        assert_eq!(ups.len(), 1);
-        assert_eq!(ups[0].thread, a);
-        let fa = est.estimate(CpuId(0), a);
-        assert!(fa > 1900.0 && fa <= 2000.0, "blocker fills vacant ways: {fa}");
-        assert!((est.total_occupancy(CpuId(0)) - fa).abs() < 1e-9);
-        assert_eq!(est.estimate(CpuId(0), b), 0.0, "empty sleeper stays empty");
-        // b runs long enough to fill the cache; a must decay.
-        est.on_miss(CpuId(0), b, 20_000, &g);
-        assert!(est.estimate(CpuId(0), a) < fa);
-        assert!(est.estimate(CpuId(0), b) > 6000.0);
-        assert_eq!(est.misses(CpuId(0)), 22_000);
-        // Per-cpu isolation and retire.
-        assert_eq!(est.estimate(CpuId(1), a), 0.0);
-        est.retire(a);
-        assert_eq!(est.estimate(CpuId(0), a), 0.0);
-        assert_eq!(est.tracked_on(CpuId(0)), 1);
-    }
-
-    #[test]
-    fn dependent_updates_follow_graph_order() {
-        let mut est = PerSetEstimator::new(8192, 2, 1).unwrap();
-        let mut g = SharingGraph::new();
-        let (a, b) = (ThreadId(1), ThreadId(2));
-        g.set(a, b, 0.5).unwrap();
-        est.on_switch(CpuId(0), a);
-        est.on_switch(CpuId(0), b);
-        let ups = est.on_miss(CpuId(0), a, 1000, &g);
-        assert_eq!(ups.len(), 2);
-        assert_eq!(ups[0].thread, a);
-        assert_eq!(ups[1].thread, b);
-        assert!(ups[1].prio > 0.0, "dependent grows toward qN");
-        assert!(ups[1].prio <= 0.5 * 8192.0 + 1e-9);
-    }
-
-    #[test]
-    fn bad_geometry_is_rejected() {
-        assert!(PerSetEstimator::new(0, 1, 1).is_err());
-        assert!(PerSetEstimator::new(64, 0, 1).is_err());
-        assert!(PerSetEstimator::new(64, 128, 1).is_err());
-        assert!(PerSetEstimator::new(64, 1, 0).is_err());
     }
 }

@@ -175,17 +175,6 @@ impl ThreadSlots {
     pub fn capacity(&self) -> usize {
         self.tids.len()
     }
-
-    /// Iterates live `(SlotId, ThreadId)` bindings in slot order.
-    /// Control-path only: slot order is recycling-dependent, so
-    /// anything exported must be re-keyed (and sorted) by `ThreadId`.
-    pub fn iter_live(&self) -> impl Iterator<Item = (SlotId, ThreadId)> + '_ {
-        self.tids.iter().enumerate().filter_map(|(i, tid)| {
-            let tid = (*tid)?;
-            let index = i as u32;
-            Some((SlotId { index, generation: self.generations[i] }, tid))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -247,14 +236,12 @@ mod tests {
     }
 
     #[test]
-    fn iter_live_is_slot_ordered() {
+    fn capacity_counts_released_slots() {
         let mut s = ThreadSlots::new();
         s.bind(t(5));
         s.bind(t(3));
         s.bind(t(9));
         s.release(t(3));
-        let live: Vec<ThreadId> = s.iter_live().map(|(_, tid)| tid).collect();
-        assert_eq!(live, vec![t(5), t(9)]);
         assert_eq!(s.capacity(), 3, "capacity counts released slots too");
     }
 

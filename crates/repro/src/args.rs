@@ -1,5 +1,6 @@
 //! Minimal command-line handling shared by the repro binaries.
 
+use crate::geometry::LINE;
 use std::path::PathBuf;
 
 /// Usage text printed for `--help` and on argument errors.
@@ -40,9 +41,11 @@ options:
                        and verify the violation reproduces
   --geometry SxW       geometry: restrict the validation sweep to one
                        L2 geometry of S sets by W ways (both positive
-                       powers of two, e.g. 1024x8)
-  --page-size BYTES    geometry: TLB page size in bytes (a positive
-                       power of two; default: 8192)
+                       powers of two, at most 1048576 lines in all,
+                       e.g. 1024x8)
+  --page-size BYTES    geometry: TLB page size in bytes (a power of two
+                       of at least the 64-byte E-cache line; default:
+                       8192)
   --help, -h           print this help";
 
 /// Workload scale selector.
@@ -124,16 +127,24 @@ fn parse_positive(flag: &str, v: &str) -> Result<u64, String> {
     }
 }
 
-/// Parses a strictly positive power-of-two flag value.
-fn parse_pow2(flag: &str, v: &str) -> Result<u64, String> {
+/// Cap on `--geometry` lines (`S × W`): 128× the shipped 8192-line
+/// E-cache. The simulator allocates its tag array up front, so an
+/// unbounded geometry would abort on allocation instead of erroring.
+const MAX_GEOMETRY_LINES: u64 = 1 << 20;
+
+/// Parses a `--page-size` value: a power of two of at least one line.
+fn parse_page_size(v: &str) -> Result<u64, String> {
     match v.parse::<u64>() {
-        Ok(n) if n > 0 && n.is_power_of_two() => Ok(n),
-        _ => Err(format!("{flag} needs a positive power of two, got '{v}'")),
+        Ok(n) if n >= LINE && n.is_power_of_two() => Ok(n),
+        _ => Err(format!(
+            "--page-size needs a power of two of at least {LINE} (the E-cache line), \
+             got '{v}'"
+        )),
     }
 }
 
 /// Parses a `SxW` geometry value: both components positive powers of
-/// two.
+/// two, at most [`MAX_GEOMETRY_LINES`] lines in all.
 fn parse_geometry(v: &str) -> Result<(u64, u64), String> {
     let bad = || format!("--geometry needs SETSxWAYS, both positive powers of two, got '{v}'");
     let (s, w) = v.split_once('x').ok_or_else(bad)?;
@@ -141,6 +152,11 @@ fn parse_geometry(v: &str) -> Result<(u64, u64), String> {
     let ways = w.parse::<u64>().map_err(|_| bad())?;
     if sets == 0 || ways == 0 || !sets.is_power_of_two() || !ways.is_power_of_two() {
         return Err(bad());
+    }
+    if sets.checked_mul(ways).is_none_or(|lines| lines > MAX_GEOMETRY_LINES) {
+        return Err(format!(
+            "--geometry is capped at {MAX_GEOMETRY_LINES} lines (SETS x WAYS), got '{v}'"
+        ));
     }
     Ok((sets, ways))
 }
@@ -246,7 +262,7 @@ impl Args {
                 }
                 "--page-size" => {
                     let v = it.next().ok_or("--page-size needs a byte count")?;
-                    out.page_size = Some(parse_pow2("--page-size", &v)?);
+                    out.page_size = Some(parse_page_size(&v)?);
                 }
                 "--help" | "-h" => return Ok(Parsed::Help),
                 other => return Err(format!("unknown argument '{other}'")),
@@ -405,6 +421,14 @@ mod tests {
         assert!(parse(&["--page-size"]).is_err());
         assert!(parse(&["--page-size", "0"]).is_err());
         assert!(parse(&["--page-size", "1000"]).is_err());
+        // A page below the 64-byte line, and geometries past the line
+        // cap (one overflowing S x W, one too large to allocate).
+        assert!(parse(&["--page-size", "32"]).is_err());
+        assert_eq!(parse(&["--page-size", "64"]).unwrap().page_size, Some(64));
+        assert!(parse(&["--geometry", "4294967296x4294967296"]).is_err());
+        assert!(parse(&["--geometry", "1099511627776x1"]).is_err());
+        assert!(parse(&["--geometry", "2048x1024"]).is_err());
+        assert_eq!(parse(&["--geometry", "1024x1024"]).unwrap().geometry, Some((1024, 1024)));
     }
 
     #[test]

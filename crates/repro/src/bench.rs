@@ -1,10 +1,8 @@
 //! Offline hot-path microbenchmarks (`repro bench`, `cargo bench -p
 //! locality-repro`).
 //!
-//! The criterion benches live in the `crates/bench` package, which is
-//! excluded from the workspace because criterion is a registry
-//! dependency (the build must work offline). This self-contained
-//! harness mirrors those four bench groups — `machine_access`,
+//! The repository's one microbenchmark harness, self-contained so the
+//! build works offline. It runs four bench groups — `machine_access`,
 //! `priority_update`, `prio_heap`/`engine_run`, `model` — plus a
 //! scheduler dispatch-cycle bench, with plain `std::time::Instant`
 //! timing: calibrate a batch size, then report the **median ns/op**

@@ -10,16 +10,19 @@
 //! 1024×8, and the fully associative 1×8192 limit. On the direct-mapped
 //! geometry the two predictors agree (the per-set drifts reduce to the
 //! closed forms at `W = 1`); on associative geometries the closed forms
-//! drift and the per-set estimator must track LRU behaviour.
+//! drift and the per-set drifts must track LRU behaviour.
 
 use crate::microbench::Monitored;
+use crate::ReproError;
+use active_threads::RuntimeError;
 use locality_core::perset::{predict_after, PerSetCase};
 use locality_core::{FootprintModel, ModelParams, ThreadId};
 use locality_sim::{AccessKind, CacheGeometry, Machine, MachineConfig, VAddr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const LINE: u64 = 64;
+/// The E-cache line size of every cell, in bytes.
+pub(crate) const LINE: u64 = 64;
 
 #[inline]
 fn n_of(lines: usize) -> f64 {
@@ -76,18 +79,19 @@ impl GeometryExperiment {
 
 /// Runs one cell: the machine is a single-processor UltraSPARC-1 with
 /// the cell's L2 geometry and page size substituted in.
-pub fn run(exp: &GeometryExperiment) -> Vec<GeometryPoint> {
+///
+/// # Errors
+///
+/// Returns [`ReproError::Runtime`] if the simulator rejects the cell's
+/// machine, and [`ReproError::Model`] if its cache has fewer than two
+/// lines.
+pub fn run(exp: &GeometryExperiment) -> Result<Vec<GeometryPoint>, ReproError> {
     let config =
         MachineConfig::ultra1().with_l2_geometry(exp.geometry()).with_page_size(exp.page_bytes);
-    // Infallible for every shipped cell: the geometries are fixed powers
-    // of two of the ultra1 capacity and `--geometry`/`--page-size` are
-    // validated at the CLI boundary.
-    #[allow(clippy::unwrap_used)]
-    let mut machine = Machine::try_new(config).unwrap();
+    let mut machine = Machine::try_new(config)
+        .map_err(|e| RuntimeError::InvalidMachine { what: e.to_string() })?;
     let lines = machine.l2_lines();
-    // Infallible: `l2_lines()` is a positive power of two ≥ 2.
-    #[allow(clippy::unwrap_used)]
-    let model = FootprintModel::new(ModelParams::new(lines).unwrap());
+    let model = FootprintModel::new(ModelParams::new(lines)?);
     let n = model.params().n();
     let ways = exp.ways as f64;
     let walker = ThreadId(1);
@@ -163,7 +167,7 @@ pub fn run(exp: &GeometryExperiment) -> Vec<GeometryPoint> {
             next_sample += exp.sample_every;
         }
     }
-    points
+    Ok(points)
 }
 
 fn prefill(machine: &mut Machine, region: VAddr, lines: u64) {
@@ -202,7 +206,7 @@ mod tests {
 
     #[test]
     fn predictors_agree_on_direct_mapped() {
-        let pts = run(&cell(Monitored::Walker { s0: 0.0 }, 8192, 1, 21));
+        let pts = run(&cell(Monitored::Walker { s0: 0.0 }, 8192, 1, 21)).unwrap();
         for p in &pts {
             assert!(
                 (p.closed_form - p.per_set).abs() < 1.0,
@@ -214,7 +218,7 @@ mod tests {
     #[test]
     fn per_set_beats_closed_form_on_associative_walker() {
         for &(sets, ways) in &[(1024u64, 8u64), (1, 8192)] {
-            let pts = run(&cell(Monitored::Walker { s0: 0.0 }, sets, ways, 22));
+            let pts = run(&cell(Monitored::Walker { s0: 0.0 }, sets, ways, 22)).unwrap();
             let closed = mean_abs_error(&pts, |p| p.closed_form);
             let per_set = mean_abs_error(&pts, |p| p.per_set);
             assert!(
@@ -227,7 +231,7 @@ mod tests {
     #[test]
     fn per_set_beats_closed_form_on_associative_sleeper() {
         for &(sets, ways) in &[(1024u64, 8u64), (1, 8192)] {
-            let pts = run(&cell(Monitored::Independent { s0: 4096.0 }, sets, ways, 23));
+            let pts = run(&cell(Monitored::Independent { s0: 4096.0 }, sets, ways, 23)).unwrap();
             let closed = mean_abs_error(&pts, |p| p.closed_form);
             let per_set = mean_abs_error(&pts, |p| p.per_set);
             assert!(
@@ -240,6 +244,15 @@ mod tests {
     #[test]
     fn runs_are_deterministic() {
         let exp = cell(Monitored::Dependent { q: 0.5, s0: 0.0 }, 1024, 8, 24);
-        assert_eq!(run(&exp), run(&exp));
+        assert_eq!(run(&exp).unwrap(), run(&exp).unwrap());
+    }
+
+    #[test]
+    fn invalid_cells_are_typed_errors() {
+        let mut small_page = cell(Monitored::Walker { s0: 0.0 }, 8192, 1, 1);
+        small_page.page_bytes = 32;
+        assert!(matches!(run(&small_page), Err(ReproError::Runtime(_))));
+        let overflow = cell(Monitored::Walker { s0: 0.0 }, 1 << 32, 1 << 32, 1);
+        assert!(matches!(run(&overflow), Err(ReproError::Runtime(_))));
     }
 }

@@ -21,7 +21,7 @@
 //! | `modelcheck` | stateless model checking: exhaustive DPOR schedule exploration of the fixture workloads, with replayable counterexamples (exit 1 on violations; `--workload clean\|racy\|deadlock\|lostwake\|all`, `--replay FILE`) |
 //! | `trace` | locality-trace observability: JSONL + Chrome `trace_event` exports and aggregated trace-metrics CSVs for a monitored app (`--workload APP\|all`, `--policy fcfs\|lff\|crt`; needs the `trace` feature) |
 //! | `trace-bench` | tracing-overhead bench: asserts the sink stays under its overhead budget (instrumented builds) or that instrumentation is fully compiled out (default builds) |
-//! | `bench` | offline hot-path microbenchmarks mirroring the criterion groups (`--save FILE` for flat medians, `--merge BEFORE AFTER` to assemble `BENCH_hotpath.json`) |
+//! | `bench` | offline hot-path microbenchmarks (`--save FILE` for flat medians, `--merge BEFORE AFTER` to assemble `BENCH_hotpath.json`) |
 //!
 //! Every binary prints aligned text tables and writes CSV files under
 //! `results/` (change with `--out DIR`). `--scale small` runs scaled-down

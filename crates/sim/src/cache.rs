@@ -28,42 +28,15 @@ impl CacheGeometry {
     /// # Errors
     ///
     /// Returns [`SimError::BadGeometry`] if any parameter is zero or not a
-    /// power of two.
+    /// power of two, or if the capacity `sets × ways × line` overflows.
     pub fn new(sets: u64, ways: u64, line: u64) -> Result<Self, SimError> {
         let geom = CacheGeometry { sets, ways, line };
         geom.validate()?;
         Ok(geom)
     }
 
-    /// Creates a geometry from a total capacity, the historical
-    /// `(size, line, ways)` parameterization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::BadGeometry`] if any parameter is zero or not a
-    /// power of two, or if `size < line × ways` (less than one set).
-    pub fn from_capacity(size_bytes: u64, line_bytes: u64, ways: u64) -> Result<Self, SimError> {
-        for (name, v) in [("size", size_bytes), ("line", line_bytes), ("ways", ways)] {
-            if v == 0 || !v.is_power_of_two() {
-                return Err(SimError::BadGeometry {
-                    reason: format!("{name} = {v} must be a non-zero power of two"),
-                });
-            }
-        }
-        if size_bytes < line_bytes * ways {
-            return Err(SimError::BadGeometry {
-                reason: format!(
-                    "size {} smaller than one set ({} bytes)",
-                    size_bytes,
-                    line_bytes * ways
-                ),
-            });
-        }
-        CacheGeometry::new(size_bytes / (line_bytes * ways), ways, line_bytes)
-    }
-
     /// Validates the geometry (all three parameters must be non-zero
-    /// powers of two).
+    /// powers of two, and the capacity in bytes must fit a `u64`).
     ///
     /// # Errors
     ///
@@ -75,6 +48,14 @@ impl CacheGeometry {
                     reason: format!("{name} = {v} must be a non-zero power of two"),
                 });
             }
+        }
+        if self.sets.checked_mul(self.ways).and_then(|l| l.checked_mul(self.line)).is_none() {
+            return Err(SimError::BadGeometry {
+                reason: format!(
+                    "{}x{} sets x ways of {}-byte lines overflows the address space",
+                    self.sets, self.ways, self.line
+                ),
+            });
         }
         Ok(())
     }
@@ -350,18 +331,8 @@ mod tests {
         assert!(CacheGeometry::new(1024, 1, 0).is_err());
         assert!(CacheGeometry::new(1024, 0, 64).is_err());
         assert!(CacheGeometry::new(1000, 1, 64).is_err(), "non power of two");
-    }
-
-    #[test]
-    fn geometry_from_capacity() {
-        let g = CacheGeometry::from_capacity(512 * 1024, 64, 1).unwrap();
-        assert_eq!(g, CacheGeometry { sets: 8192, ways: 1, line: 64 });
-        assert_eq!(g.size_bytes(), 512 * 1024);
-        let g = CacheGeometry::from_capacity(16 * 1024, 32, 2).unwrap();
-        assert_eq!(g, CacheGeometry { sets: 256, ways: 2, line: 32 });
-        assert!(CacheGeometry::from_capacity(64, 64, 2).is_err(), "one set needs 128B");
-        assert!(CacheGeometry::from_capacity(0, 64, 1).is_err());
-        assert!(CacheGeometry::from_capacity(1000, 64, 1).is_err(), "non power of two");
+        assert!(CacheGeometry::new(1 << 32, 1 << 32, 64).is_err(), "lines overflow");
+        assert!(CacheGeometry::new(1 << 40, 1, 1 << 24).is_err(), "bytes overflow");
     }
 
     #[test]

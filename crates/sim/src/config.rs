@@ -156,6 +156,15 @@ impl MachineConfig {
                 reason: format!("page size {} must be a power of two", self.page_bytes),
             });
         }
+        if self.page_bytes < self.hierarchy.l2.line {
+            // A line split across two pages would translate to two frames.
+            return Err(SimError::BadGeometry {
+                reason: format!(
+                    "page size {} must be at least the E-cache line ({})",
+                    self.page_bytes, self.hierarchy.l2.line
+                ),
+            });
+        }
         self.tlb.validate()?;
         Ok(())
     }
@@ -207,6 +216,10 @@ mod tests {
         let mut c = MachineConfig::ultra1();
         c.page_bytes = 3000;
         assert!(c.validate().is_err());
+
+        let c = MachineConfig::ultra1().with_page_size(32); // below the 64-byte line
+        assert!(c.validate().is_err());
+        assert!(MachineConfig::ultra1().with_page_size(64).validate().is_ok());
 
         let mut c = MachineConfig::ultra1();
         c.hierarchy.l1d.line = 128; // larger than the L2 line

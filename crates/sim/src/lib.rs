@@ -63,7 +63,6 @@ pub mod paging;
 pub mod regions;
 pub mod stats;
 pub mod tlb;
-pub mod trace;
 
 pub use addr::{PAddr, VAddr};
 
@@ -83,4 +82,3 @@ pub use paging::PagePlacement;
 pub use regions::RegionTable;
 pub use stats::{CpuStats, ThreadStats};
 pub use tlb::{Tlb, TlbConfig};
-pub use trace::{Trace, TraceRecord};

@@ -14,7 +14,6 @@ use crate::paging::PageTable;
 use crate::regions::RegionTable;
 use crate::stats::{CpuStats, ThreadStats};
 use crate::tlb::Tlb;
-use crate::trace::Trace;
 use locality_core::{ThreadId, ThreadSlots};
 use std::collections::{BTreeMap, HashMap};
 
@@ -71,7 +70,6 @@ pub struct Machine {
     thread_stats: Vec<ThreadStats>,
     /// Cold storage for retired threads' statistics (slot recycled).
     retired_stats: HashMap<ThreadId, ThreadStats>,
-    tracer: Option<Trace>,
     cml: Option<Vec<Cml>>,
     /// Installed counter-fault injector (see [`crate::faults`]).
     faults: Option<FaultInjector>,
@@ -120,23 +118,10 @@ impl Machine {
             // One cache's worth of lines up front; fills past that grow
             // the vector amortized.
             directory: vec![0; config.l2_lines()],
-            tracer: None,
             cml: None,
             faults: None,
             config,
         })
-    }
-
-    /// Starts recording every access into an in-memory [`Trace`]
-    /// (Shade-style reference forwarding; see [`crate::trace`]).
-    pub fn start_tracing(&mut self) {
-        self.tracer = Some(Trace::new());
-    }
-
-    /// Stops tracing and returns the recorded trace (None if tracing was
-    /// never started).
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        self.tracer.take()
     }
 
     /// Attaches a Cache Miss Lookaside device (see [`crate::cml`]) with
@@ -197,18 +182,13 @@ impl Machine {
         &self.regions
     }
 
-    /// Drops `tid` from the region table (thread exit).
-    pub fn remove_thread_regions(&mut self, tid: ThreadId) {
-        self.regions.remove_thread(tid);
-    }
-
     /// Retires `tid` from every hot-path table: regions are dropped,
     /// the statistics slot is recycled (the accumulated numbers move to
     /// cold storage and stay visible through
     /// [`thread_stats`](Self::thread_stats)), and any processor still
     /// attributing to the slot goes idle.
     pub fn retire_thread(&mut self, tid: ThreadId) {
-        self.remove_thread_regions(tid);
+        self.regions.remove_thread(tid);
         if let Some(slot) = self.slots.release(tid) {
             let index = slot.index();
             let stats = std::mem::take(&mut self.thread_stats[index]);
@@ -277,9 +257,6 @@ impl Machine {
     ///
     /// Panics if `cpu` is out of range.
     pub fn access(&mut self, cpu: usize, va: VAddr, kind: AccessKind) -> u64 {
-        if let Some(tracer) = &mut self.tracer {
-            tracer.record(cpu, kind, va);
-        }
         let (pa, walk_cycles) = self.translate_cached(cpu, va);
         let pline2 = pa >> self.l2_shift;
 
@@ -382,8 +359,8 @@ impl Machine {
     ///
     /// Observationally **byte-identical** to the equivalent per-address
     /// loop of [`access`](Self::access): every element still probes the
-    /// cache tags in order (so LRU state, evictions, coherence, the CML,
-    /// and the trace evolve exactly as in the scalar path), but the run
+    /// cache tags in order (so LRU state, evictions, coherence and the CML
+    /// evolve exactly as in the scalar path), but the run
     /// pays for its bookkeeping once — page translation is cached per
     /// page the run touches, PIC updates are batched into a single
     /// [`Pic::record_l2_bulk`](crate::Pic) call, and per-cpu/per-thread
@@ -404,11 +381,6 @@ impl Machine {
     ) -> u64 {
         if count == 0 {
             return 0;
-        }
-        if let Some(tracer) = &mut self.tracer {
-            for i in 0..count {
-                tracer.record(cpu, kind, base.offset(i * stride));
-            }
         }
         let lat = self.config.latencies;
         let hier: HierAccess = kind.into();
@@ -643,11 +615,6 @@ impl Machine {
         self.faults = Some(FaultInjector::new(config));
     }
 
-    /// Removes the installed fault injector, if any.
-    pub fn clear_fault(&mut self) {
-        self.faults = None;
-    }
-
     /// The installed fault injector (None when the counters are clean).
     pub fn fault(&self) -> Option<&FaultInjector> {
         self.faults.as_ref()
@@ -732,11 +699,6 @@ impl Machine {
         self.cpu_stats.iter().map(|s| s.l2_misses).sum()
     }
 
-    /// Total instructions over all processors.
-    pub fn total_instructions(&self) -> u64 {
-        self.cpu_stats.iter().map(|s| s.instructions).sum()
-    }
-
     /// **Ground truth**: number of resident L2 lines on `cpu` that belong
     /// to `tid`'s registered state — the thread's observed footprint
     /// (paper §3's per-thread line association).
@@ -792,13 +754,6 @@ impl Machine {
         self.cpus[cpu].flush();
         self.tlbs[cpu].flush();
         self.tlb_vpn[cpu] = u64::MAX;
-    }
-
-    /// Flushes every processor's caches.
-    pub fn flush_all(&mut self) {
-        for cpu in 0..self.cpu_count() {
-            self.flush_cpu(cpu);
-        }
     }
 
     /// Page faults taken so far.
@@ -962,28 +917,6 @@ mod tests {
     }
 
     #[test]
-    fn tracing_records_and_replays_identically() {
-        let mut m = Machine::try_new(MachineConfig::ultra1()).unwrap();
-        m.start_tracing();
-        let a = m.alloc(4096, 64);
-        for i in (0..4096u64).step_by(64) {
-            m.access(0, a.offset(i), AccessKind::Read);
-        }
-        m.access(0, a, AccessKind::Write);
-        let trace = m.take_trace().expect("tracing was on");
-        assert_eq!(trace.len(), 65);
-        // Replaying on a fresh identical machine reproduces the stats.
-        let mut fresh = Machine::try_new(MachineConfig::ultra1()).unwrap();
-        // The fresh machine must see the same virtual addresses; alloc
-        // the same block first so translation state matches.
-        let b = fresh.alloc(4096, 64);
-        assert_eq!(a, b, "deterministic allocator");
-        trace.replay(&mut fresh);
-        assert_eq!(fresh.cpu_stats(0).l2_misses, m.cpu_stats(0).l2_misses);
-        assert_eq!(fresh.cpu_stats(0).l2_refs, m.cpu_stats(0).l2_refs);
-    }
-
-    #[test]
     fn cml_observes_miss_pages() {
         let mut m = Machine::try_new(MachineConfig::ultra1()).unwrap();
         m.enable_cml(128);
@@ -1038,10 +971,10 @@ mod tests {
         let d = m.pic_take_interval(0).unwrap();
         assert!(d.misses >= WRAP_ARTIFACT_THRESHOLD, "wraparound must corrupt: {d:?}");
         assert!(m.fault().is_some());
-        m.clear_fault();
+        m.faults = None;
         m.access(0, a, AccessKind::Read);
         let clean = m.pic_take_interval(0).unwrap();
-        assert!(clean.misses < 64, "clean after clear_fault: {clean:?}");
+        assert!(clean.misses < 64, "clean without the injector: {clean:?}");
     }
 
     #[test]
@@ -1122,7 +1055,7 @@ mod tests {
         m.access(0, a, AccessKind::Read);
         m.access(1, a.offset(64), AccessKind::Read);
         assert_eq!(m.total_l2_misses(), 2);
-        assert_eq!(m.total_instructions(), 2);
+        assert_eq!(m.cpu_stats(0).instructions + m.cpu_stats(1).instructions, 2);
         assert!(m.page_faults() >= 1);
     }
 }

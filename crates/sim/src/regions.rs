@@ -135,15 +135,9 @@ impl RegionTable {
             .any(|(_, seg)| seg.owners.binary_search(&tid).is_ok())
     }
 
-    /// The union of owners over `[start, start+bytes)`, sorted.
-    pub fn owners_in_range(&self, start: VAddr, bytes: u64) -> Vec<ThreadId> {
-        let mut owners = Vec::new();
-        self.owners_in_range_into(start, bytes, &mut owners);
-        owners
-    }
-
-    /// [`owners_in_range`](Self::owners_in_range) into a caller-owned
-    /// buffer (cleared first), so per-line scans reuse one allocation.
+    /// The union of owners over `[start, start+bytes)`, sorted, into a
+    /// caller-owned buffer (cleared first), so per-line scans reuse one
+    /// allocation.
     pub fn owners_in_range_into(&self, start: VAddr, bytes: u64, owners: &mut Vec<ThreadId>) {
         owners.clear();
         if bytes == 0 {
@@ -215,11 +209,6 @@ impl RegionTable {
             self.segments.remove(&s);
         }
     }
-
-    /// Number of internal segments (diagnostics).
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
 }
 
 #[cfg(test)]
@@ -245,7 +234,7 @@ mod tests {
     fn zero_length_ignored() {
         let mut r = RegionTable::new();
         r.register(t(1), VAddr(100), 0);
-        assert_eq!(r.segment_count(), 0);
+        assert_eq!(r.segments.len(), 0);
     }
 
     #[test]
@@ -344,17 +333,22 @@ mod tests {
 
     #[test]
     fn owners_in_range_unions() {
+        let owners_in_range = |r: &RegionTable, start, bytes| {
+            let mut owners = Vec::new();
+            r.owners_in_range_into(start, bytes, &mut owners);
+            owners
+        };
         let mut r = RegionTable::new();
         r.register(t(1), VAddr(0), 100);
         r.register(t(2), VAddr(50), 100);
         r.register(t(3), VAddr(200), 10);
-        assert_eq!(r.owners_in_range(VAddr(40), 20), vec![t(1), t(2)]);
-        assert_eq!(r.owners_in_range(VAddr(0), 10), vec![t(1)]);
-        assert_eq!(r.owners_in_range(VAddr(0), 300), vec![t(1), t(2), t(3)]);
-        assert!(r.owners_in_range(VAddr(300), 10).is_empty());
-        assert!(r.owners_in_range(VAddr(0), 0).is_empty());
+        assert_eq!(owners_in_range(&r, VAddr(40), 20), vec![t(1), t(2)]);
+        assert_eq!(owners_in_range(&r, VAddr(0), 10), vec![t(1)]);
+        assert_eq!(owners_in_range(&r, VAddr(0), 300), vec![t(1), t(2), t(3)]);
+        assert!(owners_in_range(&r, VAddr(300), 10).is_empty());
+        assert!(owners_in_range(&r, VAddr(0), 0).is_empty());
         // Starting mid-segment still sees the covering segment.
-        assert_eq!(r.owners_in_range(VAddr(75), 1), vec![t(1), t(2)]);
+        assert_eq!(owners_in_range(&r, VAddr(75), 1), vec![t(1), t(2)]);
     }
 
     #[test]
@@ -366,6 +360,6 @@ mod tests {
                 r.register(t(i % 4), VAddr(i * 64), 64);
             }
         }
-        assert!(r.segment_count() <= 20);
+        assert!(r.segments.len() <= 20);
     }
 }

@@ -69,6 +69,7 @@ impl PrioHeap {
     }
 
     /// Current priority of `slot`'s thread, if present.
+    #[cfg(test)]
     pub fn priority_of(&self, slot: SlotId) -> Option<f64> {
         self.pos_of(slot).map(|i| self.items[i].0)
     }

@@ -140,6 +140,7 @@ impl SharingInference {
     }
 
     /// Pages tracked for a thread.
+    #[cfg(test)]
     pub fn tracked_pages(&self, tid: ThreadId) -> usize {
         self.thread_pages.get(&tid).map_or(0, BTreeSet::len)
     }

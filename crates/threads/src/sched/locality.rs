@@ -56,8 +56,8 @@ use super::Scheduler;
 use crate::heap::PrioHeap;
 use crate::RuntimeError;
 use locality_core::{
-    CpuId, EstimatorConfig, FootprintEstimator, LocalityEstimator, ModelParams, PolicyKind,
-    SanitizedInterval, SharingGraph, SlotId, ThreadId, ThreadSlots,
+    CpuId, EstimatorConfig, LocalityEstimator, ModelParams, PolicyKind, SanitizedInterval,
+    SharingGraph, SlotId, ThreadId, ThreadSlots,
 };
 use locality_trace::{emit_with, TraceEvent};
 use std::collections::VecDeque;
@@ -136,18 +136,12 @@ struct SlotState {
     arrival_epoch: u64,
 }
 
-/// LFF/CRT scheduler over per-processor priority heaps.
-///
-/// Generic over the footprint model: `E` defaults to the paper's
-/// direct-mapped Markov closed forms ([`LocalityEstimator`]); any other
-/// [`FootprintEstimator`] — e.g. the set-associative
-/// [`PerSetEstimator`](locality_core::PerSetEstimator) — plugs in via
-/// [`with_estimator`](LocalityScheduler::with_estimator) without touching
-/// dispatch logic.
+/// LFF/CRT scheduler over per-processor priority heaps, driven by the
+/// paper's direct-mapped Markov closed forms ([`LocalityEstimator`]).
 #[derive(Debug)]
-pub struct LocalityScheduler<E: FootprintEstimator = LocalityEstimator> {
+pub struct LocalityScheduler {
     config: LocalityConfig,
-    est: E,
+    est: LocalityEstimator,
     /// Dense thread-slot registry (scheduler-internal interning).
     slots: ThreadSlots,
     /// Slot-indexed dispatch state (`None` = slot free or never used).
@@ -184,8 +178,7 @@ impl LocalityScheduler {
     ///
     /// Returns [`RuntimeError::InvalidMachine`] if `l2_lines < 2`,
     /// `cpus == 0`, or `cpus > 64` (the heap-membership bitmask is a
-    /// `u64`). These used to be an `assert!` and an `.expect()`; a bad
-    /// machine description now reaches the caller as a typed error.
+    /// `u64`).
     pub fn new(config: LocalityConfig, l2_lines: usize, cpus: usize) -> Result<Self, RuntimeError> {
         if cpus == 0 || cpus > 64 {
             return Err(RuntimeError::InvalidMachine {
@@ -195,29 +188,6 @@ impl LocalityScheduler {
         let params = ModelParams::new(l2_lines)
             .map_err(|e| RuntimeError::InvalidMachine { what: e.to_string() })?;
         let est = LocalityEstimator::new(EstimatorConfig::new(config.policy, params, cpus));
-        Self::with_estimator(config, est, cpus)
-    }
-}
-
-impl<E: FootprintEstimator> LocalityScheduler<E> {
-    /// Creates the scheduler around an explicit estimator (the seam for
-    /// plugging in non-default footprint models). `est` must track the
-    /// same `cpus` processors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::InvalidMachine`] if `cpus == 0` or
-    /// `cpus > 64` (the heap-membership bitmask is a `u64`).
-    pub fn with_estimator(
-        config: LocalityConfig,
-        est: E,
-        cpus: usize,
-    ) -> Result<Self, RuntimeError> {
-        if cpus == 0 || cpus > 64 {
-            return Err(RuntimeError::InvalidMachine {
-                what: format!("cpus must be in 1..=64, got {cpus}"),
-            });
-        }
         Ok(LocalityScheduler {
             config,
             est,
@@ -255,16 +225,6 @@ impl<E: FootprintEstimator> LocalityScheduler<E> {
         self.conf
     }
 
-    /// The underlying estimator (inspection).
-    pub fn estimator(&self) -> &E {
-        &self.est
-    }
-
-    /// Heap size on `cpu` (diagnostics / heap-bounding tests).
-    pub fn heap_len(&self, cpu: usize) -> usize {
-        self.heaps[cpu].len()
-    }
-
     /// Interns `tid` into a dense slot, resetting the slot's state on a
     /// fresh binding (a recycled slot inherits nothing).
     fn bind(&mut self, tid: ThreadId) -> SlotId {
@@ -298,7 +258,7 @@ impl<E: FootprintEstimator> LocalityScheduler<E> {
         debug_assert!(!self.is_ready(tid), "{tid} enqueued twice");
         let mut mask = 0u64;
         for cpu in 0..self.heaps.len() {
-            if self.est.estimate(CpuId(cpu), tid) >= self.config.threshold_lines {
+            if self.est.expected_footprint(CpuId(cpu), tid) >= self.config.threshold_lines {
                 self.heaps[cpu].push(tid, slot, self.est.priority(CpuId(cpu), tid));
                 mask |= 1 << cpu;
             }
@@ -423,7 +383,9 @@ impl<E: FootprintEstimator> LocalityScheduler<E> {
     fn sweep(&mut self, cpu: usize) {
         let mut demote: Vec<(ThreadId, SlotId)> = self.heaps[cpu]
             .iter()
-            .filter(|&(tid, _, _)| self.est.estimate(CpuId(cpu), tid) < self.config.threshold_lines)
+            .filter(|&(tid, _, _)| {
+                self.est.expected_footprint(CpuId(cpu), tid) < self.config.threshold_lines
+            })
             .map(|(tid, slot, _)| (tid, slot))
             .collect();
         demote.sort_unstable_by_key(|&(tid, _)| tid);
@@ -517,7 +479,7 @@ impl<E: FootprintEstimator> LocalityScheduler<E> {
     }
 }
 
-impl<E: FootprintEstimator> Scheduler for LocalityScheduler<E> {
+impl Scheduler for LocalityScheduler {
     fn on_spawn(&mut self, tid: ThreadId) {
         let slot = self.bind(tid);
         self.enqueue_ready(tid, slot);
@@ -530,7 +492,7 @@ impl<E: FootprintEstimator> Scheduler for LocalityScheduler<E> {
 
     fn on_dispatch(&mut self, cpu: usize, tid: ThreadId) {
         self.remove_everywhere(tid);
-        self.est.on_switch(CpuId(cpu), tid);
+        self.est.on_dispatch(CpuId(cpu), tid);
     }
 
     fn on_interval_end(
@@ -544,7 +506,7 @@ impl<E: FootprintEstimator> Scheduler for LocalityScheduler<E> {
         // The estimator always consumes the (sanitized, bounded) interval,
         // even in degraded mode: keeping footprint state warm makes the
         // switch back to Normal seamless once confidence recovers.
-        let updates = self.est.on_miss(CpuId(cpu), tid, interval.misses, model_graph);
+        let updates = self.est.on_interval_end(CpuId(cpu), tid, interval.misses, model_graph);
         for u in updates {
             if u.thread == tid {
                 // The blocker is still Running from the scheduler's point
@@ -555,7 +517,7 @@ impl<E: FootprintEstimator> Scheduler for LocalityScheduler<E> {
             if !self.states[slot.index()].as_ref().is_some_and(|st| st.ready) {
                 continue;
             }
-            if self.est.estimate(CpuId(cpu), u.thread) >= self.config.threshold_lines {
+            if self.est.expected_footprint(CpuId(cpu), u.thread) >= self.config.threshold_lines {
                 self.promote(cpu, u.thread, slot, u.prio);
             } else {
                 self.demote(cpu, u.thread, slot);
@@ -594,7 +556,7 @@ impl<E: FootprintEstimator> Scheduler for LocalityScheduler<E> {
             if let Some(st) = self.states[i].as_mut() {
                 st.heap_mask &= !(1 << cpu);
             }
-            if self.est.estimate(CpuId(cpu), tid) < self.config.threshold_lines {
+            if self.est.expected_footprint(CpuId(cpu), tid) < self.config.threshold_lines {
                 // Decayed: push to wherever it still belongs.
                 let mask = self.states[i].as_ref().map_or(0, |st| st.heap_mask);
                 if mask == 0 {
@@ -635,14 +597,14 @@ impl<E: FootprintEstimator> Scheduler for LocalityScheduler<E> {
 
     fn on_exit(&mut self, tid: ThreadId) {
         self.remove_everywhere(tid);
-        self.est.retire(tid);
+        self.est.remove_thread(tid);
         if let Some(slot) = self.slots.release(tid) {
             self.states[slot.index()] = None;
         }
     }
 
     fn expected_footprint(&self, cpu: usize, tid: ThreadId) -> Option<f64> {
-        Some(self.est.estimate(CpuId(cpu), tid))
+        Some(self.est.expected_footprint(CpuId(cpu), tid))
     }
 
     fn ready_count(&self) -> usize {
@@ -715,7 +677,7 @@ mod tests {
         s.on_spawn(t(1));
         s.on_spawn(t(2));
         assert_eq!(s.ready_count(), 2);
-        assert_eq!(s.heap_len(0), 0);
+        assert_eq!(s.heaps[0].len(), 0);
         assert_eq!(s.pick(0), Some(t(1)), "FIFO from global when no footprints");
         assert_eq!(s.pick(0), Some(t(2)));
         assert_eq!(s.pick(0), None);
@@ -729,7 +691,7 @@ mod tests {
         assert_eq!(s.pick(0), Some(t(1)));
         run_interval(&mut s, 0, t(1), 400);
         s.on_ready(t(1));
-        assert_eq!(s.heap_len(0), 1, "warm thread sits in the heap");
+        assert_eq!(s.heaps[0].len(), 1, "warm thread sits in the heap");
         // A cold thread arrives first in FIFO terms...
         s.on_spawn(t(2));
         // ...but the warm thread is dispatched first (heap beats global).
@@ -762,7 +724,7 @@ mod tests {
         s.pick(0);
         run_interval(&mut s, 0, t(1), 100); // ~91 lines expected
         s.on_ready(t(1));
-        assert_eq!(s.heap_len(0), 1);
+        assert_eq!(s.heaps[0].len(), 1);
         // Now another thread trashes the cache; t1 decays below 50 lines.
         s.on_spawn(t(2));
         s.pick(0); // t1 still beats t2? t1 in heap wins; force: pop order
@@ -797,7 +759,7 @@ mod tests {
             run_interval(&mut s, 0, tid, misses);
             s.on_ready(tid);
         }
-        assert_eq!(s.heap_len(0), 2);
+        assert_eq!(s.heaps[0].len(), 2);
         // cpu1 has nothing: it steals the *lowest* priority thread (t2).
         assert_eq!(s.pick(1), Some(t(2)));
         assert_eq!(s.steals(), 1);
@@ -812,7 +774,7 @@ mod tests {
         graph.set(t(1), t(2), 0.8).unwrap();
         // t2 is ready but cold: global queue.
         s.on_spawn(t(2));
-        assert_eq!(s.heap_len(0), 0);
+        assert_eq!(s.heaps[0].len(), 0);
         // t1 runs and takes lots of misses; t2 (dependent) gains footprint.
         s.on_spawn(t(1));
         // pick returns t2 first (FIFO within global)... we want t1; force.
@@ -820,7 +782,7 @@ mod tests {
         s.on_dispatch(0, t(1));
         s.on_interval_end(0, t(1), interval(2000, 1.0), &graph);
         // t2 must now sit in cpu0's heap (promoted).
-        assert_eq!(s.heap_len(0), 1);
+        assert_eq!(s.heaps[0].len(), 1);
         assert_eq!(s.pick(0), Some(t(2)));
         assert_eq!(s.pick(0), None, "t2 must have left the global queue too");
     }
@@ -840,7 +802,7 @@ mod tests {
         s.remove_everywhere(t(1));
         s.on_dispatch(0, t(1));
         s.on_interval_end(0, t(1), interval(2000, 1.0), &graph);
-        assert_eq!(s.heap_len(0), 0, "dependent must NOT be promoted");
+        assert_eq!(s.heaps[0].len(), 0, "dependent must NOT be promoted");
         assert_eq!(s.name(), "lff-noann");
     }
 
@@ -877,7 +839,7 @@ mod tests {
             run_interval(&mut s, 0, tid, 200);
             s.on_ready(tid);
         }
-        let before = s.heap_len(0);
+        let before = s.heaps[0].len();
         assert!(before > 0);
         // A long cache-trashing interval by one more thread decays all of
         // them; the sweep (interval=1) must demote the under-threshold
@@ -885,7 +847,7 @@ mod tests {
         s.on_spawn(t(99));
         s.remove_everywhere(t(99));
         run_interval(&mut s, 0, t(99), 20_000);
-        assert_eq!(s.heap_len(0), 0, "sweep must evict all decayed entries");
+        assert_eq!(s.heaps[0].len(), 0, "sweep must evict all decayed entries");
         assert_eq!(s.ready_count(), 10, "demoted threads remain runnable");
     }
 
@@ -1060,27 +1022,17 @@ mod tests {
     }
 
     #[test]
-    fn per_set_estimator_plugs_into_the_scheduler() {
-        use locality_core::PerSetEstimator;
-        let est = PerSetEstimator::new(8192, 8, 1).unwrap();
-        let mut s = LocalityScheduler::with_estimator(LocalityConfig::new(PolicyKind::Lff), est, 1)
-            .unwrap();
-        // Same warm-up flow as the default estimator: the thread with the
-        // larger per-set footprint wins LFF dispatch.
-        for (tid, misses) in [(t(1), 100u64), (t(2), 600), (t(3), 300)] {
-            s.on_spawn(tid);
-            s.remove_everywhere(tid);
-            s.on_dispatch(0, tid);
-            s.on_interval_end(0, tid, interval(misses, 1.0), &SharingGraph::new());
-            s.on_ready(tid);
+    fn new_rejects_invalid_machines() {
+        let config = LocalityConfig::new(PolicyKind::Lff);
+        for (l2_lines, cpus) in [(1024, 0), (1024, 65), (1, 1), (0, 4)] {
+            assert!(
+                matches!(
+                    LocalityScheduler::new(config, l2_lines, cpus),
+                    Err(RuntimeError::InvalidMachine { .. })
+                ),
+                "l2_lines={l2_lines} cpus={cpus} must be rejected"
+            );
         }
-        assert_eq!(s.pick(0), Some(t(2)));
-        assert_eq!(s.pick(0), Some(t(3)));
-        assert_eq!(s.pick(0), Some(t(1)));
-        // The per-set impl doesn't count flops (trait default).
-        assert_eq!(s.priority_flops(), (0, 0));
-        assert!(s.estimator().estimate(CpuId(0), t(2)) > 0.0);
-        s.on_exit(t(2));
-        assert_eq!(s.expected_footprint(0, t(2)), Some(0.0));
+        assert!(LocalityScheduler::new(config, 2, 64).is_ok());
     }
 }
